@@ -25,6 +25,20 @@ type serveState struct {
 	jobs map[int64]*service.JobHandle
 }
 
+// The front door rejects what the fleet cannot serve before anything is
+// allocated for it.
+const (
+	// maxServeN caps a submitted job's n: its n×n output (128 MiB of
+	// float64 at the cap) is allocated at admission.
+	maxServeN = 4096
+	// maxSubmitBytes caps the POST /jobs body; a submitRequest encodes in
+	// well under 1 KiB.
+	maxSubmitBytes = 4 << 10
+	// serveReadHeaderTimeout bounds how long a client may take to send
+	// its request headers.
+	serveReadHeaderTimeout = 10 * time.Second
+)
+
 // submitRequest is the POST /jobs body.
 type submitRequest struct {
 	Tenant     string  `json:"tenant"`
@@ -85,8 +99,13 @@ func (st *serveState) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (st *serveState) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
 		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if req.N > maxServeN {
+		writeJSON(w, http.StatusBadRequest, map[string]string{
+			"error": fmt.Sprintf("n=%d exceeds the server's limit of %d", req.N, maxServeN)})
 		return
 	}
 	h, err := st.fleet.Submit(service.JobSpec{
@@ -194,6 +213,11 @@ func runServe(args []string) error {
 	quota := fs.Int("quota", 32, "max unfinished jobs per tenant")
 	autoscale := fs.Float64("autoscale", 0, "capacity-model autoscaler theta: cap each job's slice at the predicted speedup knee (0 = off)")
 	drain := fs.Duration("drain", 30*time.Second, "graceful drain budget on SIGINT")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: nlfl serve [flags]\n\nPOST /jobs accepts n ≤ %d and request bodies ≤ %d bytes; larger requests get a 400.\n\n",
+			maxServeN, maxSubmitBytes)
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -214,7 +238,7 @@ func runServe(args []string) error {
 		return err
 	}
 	st := &serveState{fleet: fleet, jobs: map[int64]*service.JobHandle{}}
-	srv := &http.Server{Handler: newServeMux(st)}
+	srv := &http.Server{Handler: newServeMux(st), ReadHeaderTimeout: serveReadHeaderTimeout}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -224,6 +248,7 @@ func runServe(args []string) error {
 	fmt.Printf("nlfl serve: fleet of %d workers (%s policy) on http://%s\n",
 		fleet.Workers(), *policy, ln.Addr())
 	fmt.Println("  POST /jobs      {\"tenant\":\"a\",\"n\":64,\"strategy\":\"het\"} → {\"id\":…}")
+	fmt.Printf("                  n ≤ %d, body ≤ %d bytes (400 otherwise)\n", maxServeN, maxSubmitBytes)
 	fmt.Println("  GET  /jobs?id=N job status and ledger")
 	fmt.Println("  GET  /accounts  fleet + per-tenant accounting")
 	fmt.Println("  GET  /healthz   worker health (strikes, quarantine)")

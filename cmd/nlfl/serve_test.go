@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -255,4 +256,58 @@ func TestServeRejectReasons(t *testing.T) {
 func jsonNum(id int64) string {
 	b, _ := json.Marshal(id)
 	return string(b)
+}
+
+// TestServeRejectsOversizedRequests: a job whose n×n output the server
+// will not allocate, and a body past the size cap, are both 400s before
+// the fleet sees them — and the next ordinary job still completes.
+func TestServeRejectsOversizedRequests(t *testing.T) {
+	fleet, err := service.New(service.Config{Speeds: []float64{1, 2}, WorkPerSecond: 5e5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+	st := &serveState{fleet: fleet, jobs: map[int64]*service.JobHandle{}}
+	ts := httptest.NewServer(newServeMux(st))
+	defer ts.Close()
+
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	huge := post(`{"tenant":"a","n":1000000}`)
+	huge.Body.Close()
+	if huge.StatusCode != http.StatusBadRequest {
+		t.Fatalf("n=1000000: got %d, want 400", huge.StatusCode)
+	}
+	padded := post(`{"tenant":"` + strings.Repeat("x", maxSubmitBytes) + `","n":32}`)
+	padded.Body.Close()
+	if padded.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized body: got %d, want 400", padded.StatusCode)
+	}
+	if acc := fleet.Accounting(); acc.Submitted != 0 {
+		t.Fatalf("oversized requests reached the fleet: %d submitted", acc.Submitted)
+	}
+
+	resp := post(`{"tenant":"a","n":32,"seed":3}`)
+	var sub struct {
+		ID int64 `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("ordinary job after the rejections: status %d, err %v", resp.StatusCode, err)
+	}
+	st.mu.Lock()
+	h := st.jobs[sub.ID]
+	st.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := h.Wait(ctx); err != nil {
+		t.Fatalf("ordinary job failed: %v", err)
+	}
 }

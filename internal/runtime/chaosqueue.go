@@ -92,11 +92,12 @@ func newChaosQueue(chunks []Chunk, workers, shards int, specAfter float64) *chao
 // backlog first, then the shared shards (home stripe, then ring steal),
 // then — with speculation enabled — the stalest chunk some other worker
 // has held past the threshold (whether a lease was speculative is
-// resolved at commit time from the lease's first holder).
+// resolved at commit time from the lease's first holder). A dead worker
+// is done: nothing is leased to it again.
 func (cq *chaosQueue) next(w int, now float64) (c Chunk, st queueState) {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
-	if cq.cellsLeft == 0 {
+	if cq.cellsLeft == 0 || cq.dead[w] {
 		return Chunk{}, queueDone
 	}
 	if cq.phead[w] < len(cq.private[w]) {
@@ -155,13 +156,14 @@ func (cq *chaosQueue) retire(task int, l *chaosLease) {
 }
 
 // commit resolves the first-writer-wins race for a finished copy of
-// task. won=false means another copy already committed (this one's work
-// is Wasted); specWin marks a win by a worker other than the lease's
-// first holder — a successful speculation.
+// task. won=false means another copy already committed, or w died
+// before committing and its lease was reclaimed (either way this copy's
+// work is Wasted); specWin marks a win by a worker other than the
+// lease's first holder — a successful speculation.
 func (cq *chaosQueue) commit(task, w int) (won, specWin bool) {
 	cq.mu.Lock()
 	defer cq.mu.Unlock()
-	if cq.committed[task] {
+	if cq.committed[task] || cq.dead[w] {
 		return false, false
 	}
 	l := cq.leases[task]
@@ -233,6 +235,13 @@ func (cq *chaosQueue) reclaim(w int, maxRecover int, replan func(Chunk) []Chunk)
 		}
 	}
 	return cells, extra, nil
+}
+
+// isDead reports whether worker w has been reclaimed.
+func (cq *chaosQueue) isDead(w int) bool {
+	cq.mu.Lock()
+	defer cq.mu.Unlock()
+	return cq.dead[w]
 }
 
 // allDead reports whether no worker survives.

@@ -22,9 +22,15 @@
 //   - Before computing a chunk the worker copies the a̅- and b̅-intervals
 //     the chunk needs into worker-local buffers — the shipped data — and
 //     computes only from those copies. The copy is recorded as a Comm
-//     span and the kernel execution as a Compute span on a trace.Live
-//     recorder, so trace.Check audits a measured run with the same
+//     span and the kernel execution as a Compute span on the job's
+//     timeline, so trace.Check audits a measured run with the same
 //     invariant oracle that audits the simulators, and the summed Comm
 //     span data is the measured communication volume the bench harness
 //     cross-checks against the closed forms (2N·√(Σsᵢ/s₁) for Comm_hom).
+//
+// One Executor per job holds all of this — the queue or lease table,
+// the compiled fault table, the recovery ledger, the closing audit and
+// the serve step (ship, stall, compute, commit). Run drives it with one
+// goroutine per worker; internal/service's fleet drives one Executor per
+// admitted job from its long-lived workers.
 package runtime

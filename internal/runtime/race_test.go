@@ -7,6 +7,7 @@ import (
 	stdruntime "runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"nlfl/internal/faults"
 	"nlfl/internal/matmul"
@@ -216,8 +217,11 @@ func TestHighParallelismAffinityStealStress(t *testing.T) {
 // stress: two of twelve workers crash mid-run, so reclamation pushes land
 // on dead workers' home stripes while the ten survivors' ring steals scan
 // them concurrently — the steal-during-reclaim interleaving on the padded
-// contiguous shard array, under a 16-thread scheduler. Meaningful under
-// -race.
+// contiguous shard array, under a 16-thread scheduler. The whole domain
+// takes well under the crash instants to compute, so the test hook holds
+// workers 2 and 9 on their first chunk for 7 ms: both crashes then land
+// while each holds a lease, on every run and core count. Meaningful
+// under -race.
 func TestHighParallelismCrashReclaimStress(t *testing.T) {
 	defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(16))
 	const (
@@ -237,11 +241,19 @@ func TestHighParallelismCrashReclaimStress(t *testing.T) {
 	for i := range speeds {
 		speeds[i] = 1
 	}
+	// held[w] is written only by worker w's own goroutine.
+	held := make([]bool, workers)
 	rep, err := Run(plan, a, b, Options{
 		Speeds:        speeds,
 		WorkPerSecond: 2e6,
 		Burst:         1,
 		VerifyEvery:   11,
+		testHookChunkStart: func(w int, c Chunk) {
+			if (w == 2 || w == 9) && !held[w] {
+				held[w] = true
+				time.Sleep(7 * time.Millisecond)
+			}
+		},
 		Chaos: Chaos{
 			Scenario: faults.Scenario{Events: []faults.Event{
 				{Kind: faults.Crash, Worker: 2, Time: 0.004},

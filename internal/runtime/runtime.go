@@ -5,8 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
+	"time"
 
 	"nlfl/internal/matmul"
 	"nlfl/internal/trace"
@@ -33,10 +33,6 @@ type Options struct {
 	// sub-second benches yet slow enough that the throttle (not the real
 	// CPU) sets the pace, so relative speeds are honored even on one core.
 	WorkPerSecond float64
-	// Shards is the shared-queue stripe count; 0 selects one stripe per
-	// worker, so each worker's home stripe is its own — pops are
-	// uncontended until its stripe drains and stealing begins.
-	Shards int
 	// Burst is the token-bucket capacity in cells; 0 selects 5 ms of
 	// credit at the worker's rate.
 	Burst float64
@@ -211,37 +207,12 @@ func (r *Report) Expect(relTol float64) *trace.Expect {
 	return e
 }
 
-// staged is one chunk whose inputs have been shipped into worker-local
-// buffers (its Comm span is recorded by fetch at shipping time).
-type staged struct {
-	c          Chunk
-	aBuf, bBuf []float64
-}
-
-// runner is the shared state of one Run: inputs, throttles, ledgers and
-// the failure latch. The fast path touches only the fault-free subset;
-// the chaos path adds the mutex-guarded recovery ledger.
+// runner is the shared state of one Run: the job's executor, the pool's
+// options and the failure latch.
 type runner struct {
 	opts Options
-	a, b []float64
-	n    int
 	rate float64
-
-	out      *matmul.Matrix
-	live     *trace.Live
-	net      *netLink
-	perData  []float64 // written only by each worker's own goroutine
-	perCells []float64
-
-	// Largest chunk extents in the plan — the workers size their transfer
-	// and scratch buffers once from these, so the per-chunk loop never
-	// allocates.
-	maxRowSpan, maxColSpan, maxCells int
-
-	// ledgers[w] is worker w's private recovery ledger (chaos runs only);
-	// each worker writes only its own entry and the entries are merged
-	// into the totals below after wg.Wait, so the hot path takes no lock.
-	ledgers []chaosLedger
+	e    *Executor
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -249,39 +220,22 @@ type runner struct {
 
 	mu  sync.Mutex
 	err error
-	// chaos totals (mu-guarded during the run for the cold reclamation
-	// path; the per-worker ledgers fold in after the pool stops)
-	committedChunks             []Chunk
-	committedVolume, wastedData float64
-	wastedWork, lostWork        float64
-	replanExtra                 float64
-	reclaimedCells              int
-	retried, specWins, degraded int
+
+	// turn[w] opens once worker w−1 has leased its first chunk, so the
+	// workers lease their first chunks — and book their first transfers —
+	// in id order, not in goroutine start order. Under a network model
+	// that booking order decides whose deliveries land first and so which
+	// worker steals a demand-driven plan's spare chunks; fixing it makes
+	// the chunk-to-worker map, and with it RelayVolume, reproducible.
+	turn   []chan struct{}
+	passed []bool
 }
 
-// chaosLedger is one worker's lock-free recovery ledger. Ledgers sit in a
-// contiguous array, so each is padded to 128 bytes: every chunk bumps its
-// owner's counters and unpadded neighbours would false-share cache lines.
-type chaosLedger struct {
-	committed         []Chunk
-	committedVolume   float64
-	wastedData        float64
-	wastedWork        float64
-	retried, specWins int
-	_                 [48]byte // 24 + 3×8 + 2×8 = 64 → pad to 128
-}
-
-// merge folds the per-worker ledgers into the mu-guarded totals. Call
-// only after every worker goroutine has stopped.
-func (r *runner) mergeLedgers() {
-	for i := range r.ledgers {
-		led := &r.ledgers[i]
-		r.committedChunks = append(r.committedChunks, led.committed...)
-		r.committedVolume += led.committedVolume
-		r.wastedData += led.wastedData
-		r.wastedWork += led.wastedWork
-		r.retried += led.retried
-		r.specWins += led.specWins
+// pass opens worker w+1's turn, once; only worker w's goroutine calls it.
+func (r *runner) pass(w int) {
+	if !r.passed[w] {
+		r.passed[w] = true
+		close(r.turn[w+1])
 	}
 }
 
@@ -301,13 +255,13 @@ func (r *runner) runErr() error {
 	return r.err
 }
 
-// noteLost records cells destroyed mid-chunk by a crash. It stays
-// mu-guarded: it runs once per death, immediately before the (also
-// mu-guarded) reclamation in die, never on the steady-state path.
-func (r *runner) noteLost(cells float64) {
-	r.mu.Lock()
-	r.lostWork += cells
-	r.mu.Unlock()
+// settle latches a step's failure; true means the worker must stop (it
+// died, the run failed, or the run was cancelled).
+func (r *runner) settle(st Step) bool {
+	if st.Err != nil {
+		r.fail(st.Err)
+	}
+	return st.halted
 }
 
 // guard runs one worker body with panic containment: a panicking worker
@@ -315,14 +269,15 @@ func (r *runner) noteLost(cells float64) {
 // with recovery but no latch — leave wg.Wait stuck behind siblings
 // blocked on a link booking. Now it latches ErrWorkerFailed and cancels
 // the run.
-func (r *runner) guard(w int, body func(int)) {
+func (r *runner) guard(w int) {
 	defer r.wg.Done()
+	defer r.pass(w) // a worker that leaves early must not block the next
 	defer func() {
 		if rec := recover(); rec != nil {
 			r.fail(fmt.Errorf("%w: worker %d panicked: %v", ErrWorkerFailed, w, rec))
 		}
 	}()
-	body(w)
+	r.work(w)
 }
 
 // Run executes the plan on real vectors — RunContext without external
@@ -332,19 +287,20 @@ func Run(plan *StrategyPlan, a, b []float64, opts Options) (*Report, error) {
 }
 
 // RunContext executes the plan on real vectors: len(Speeds) goroutine
-// workers pull chunks from the sharded queue, ship each chunk's a̅/b̅
-// intervals into worker-local buffers (the Comm span — paced by the
-// bandwidth model when Options.Link is set, raw memcpy otherwise), pay
-// the chunk's area to their token bucket and fill the output rectangle
-// through the tiled kernel (the Compute span). With Options.Prefetch
-// each worker double-buffers: the next chunk's transfer runs while the
-// current chunk computes. With Options.Chaos the pool runs the resilient
-// path instead: scenario faults are injected on the live goroutines and
-// survived via leases, retries, speculation and survivor re-planning
-// (see Chaos). Cancelling ctx stops the pool at the next chunk boundary
-// and returns ctx's error. The returned report carries the product, the
-// measured per-worker traffic and comm time, the comm/compute overlap
-// fraction, the recovery ledger, and the trace.Live timeline of the run.
+// workers drive one Executor. Each pulls chunks from the job's queue,
+// ships each chunk's a̅/b̅ intervals into worker-local buffers (the Comm
+// span — paced by the bandwidth model when Options.Link is set, raw
+// memcpy otherwise), pays the chunk's area to its token bucket and fills
+// the output rectangle through the tiled kernel (the Compute span). With
+// Options.Prefetch each worker double-buffers: the next chunk's transfer
+// runs while the current chunk computes. With Options.Chaos the same
+// loop runs the executor's resilient path: scenario faults are injected
+// on the live goroutines and survived via leases, retries, speculation
+// and survivor re-planning (see Chaos). Cancelling ctx stops the pool at
+// the next chunk boundary and returns ctx's error. The returned report
+// carries the product, the measured per-worker traffic and comm time,
+// the comm/compute overlap fraction, the recovery ledger, and the
+// audited timeline of the run.
 func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Options) (*Report, error) {
 	n := plan.N
 	if len(a) != n || len(b) != n {
@@ -370,11 +326,14 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 		if opts.Link.Enabled() {
 			return nil, fmt.Errorf("runtime: Options.Topology and Options.Link are mutually exclusive (Link is the star shorthand)")
 		}
-		if err := topo.Validate(p); err != nil {
-			return nil, err
-		}
 	} else {
 		topo = starFromLink(opts.Link, p)
+	}
+	start := time.Now()
+	clock := func() float64 { return time.Since(start).Seconds() }
+	net, err := NewNetwork(topo, p, clock)
+	if err != nil {
+		return nil, err
 	}
 	for _, c := range plan.Chunks {
 		if c.RowLo < 0 || c.ColLo < 0 || c.RowHi > n || c.ColHi > n || c.Cells() <= 0 {
@@ -389,80 +348,33 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 	if err := checkTiling(n, plan.Chunks); err != nil {
 		return nil, err
 	}
-	chaosOn := opts.Chaos.enabled()
-	if chaosOn {
-		if err := opts.Chaos.validate(p); err != nil {
-			return nil, err
-		}
-		if opts.Prefetch {
-			return nil, fmt.Errorf("runtime: Prefetch cannot be combined with Chaos (a prefetched chunk is an untracked second lease)")
-		}
+	chaosOn := opts.Chaos.Enabled()
+	if chaosOn && opts.Prefetch {
+		return nil, fmt.Errorf("runtime: Prefetch cannot be combined with Chaos (a prefetched chunk is an untracked second lease)")
 	}
 	rate := opts.WorkPerSecond
 	if rate <= 0 {
 		rate = 2e6
 	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = p // home-stripe affinity: worker w owns stripe w
+	e, err := NewExecutor(plan, a, b, ExecConfig{Speeds: opts.Speeds, Clock: clock, Net: net, Chaos: opts.Chaos})
+	if err != nil {
+		return nil, err
 	}
-	planVolume := 0.0
-	maxRowSpan, maxColSpan, maxCells := 0, 0, 0
-	for _, c := range plan.Chunks {
-		planVolume += float64(c.Data())
-		maxRowSpan = max(maxRowSpan, c.RowHi-c.RowLo)
-		maxColSpan = max(maxColSpan, c.ColHi-c.ColLo)
-		maxCells = max(maxCells, c.Cells())
-	}
+	e.Begin(0) // a run's faults count from its start
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	r := &runner{
-		opts:       opts,
-		a:          a,
-		b:          b,
-		n:          n,
-		rate:       rate,
-		out:        matmul.New(n, n),
-		live:       trace.NewLive(p),
-		net:        newNetLink(topo, p, nil),
-		perData:    make([]float64, p),
-		perCells:   make([]float64, p),
-		maxRowSpan: maxRowSpan,
-		maxColSpan: maxColSpan,
-		maxCells:   maxCells,
-		ctx:        runCtx,
-		cancel:     cancel,
+	r := &runner{opts: opts, rate: rate, e: e, ctx: runCtx, cancel: cancel,
+		turn: make([]chan struct{}, p+1), passed: make([]bool, p)}
+	for w := range r.turn {
+		r.turn[w] = make(chan struct{})
 	}
-	if r.net != nil {
-		r.net.now = r.live.Now
-	}
-	// A clean run records exactly two spans per chunk (Comm + Compute);
-	// reserving that up front keeps span recording allocation-free on the
-	// hot path. Chaos retries and speculative copies can exceed the
-	// reservation — those appends grow the slice the usual amortized way.
-	r.live.Reserve(2*len(plan.Chunks)+4, 0)
-
-	var body func(int)
-	var cq *chaosQueue
-	if chaosOn {
-		r.ledgers = make([]chaosLedger, p)
-		cs := compileChaos(opts.Chaos, p)
-		cq = newChaosQueue(plan.Chunks, p, shards, opts.Chaos.SpeculateAfter)
-		if r.net != nil {
-			r.net.slowdown = cs.linkScale
-		}
-		body = func(w int) { r.chaosWorker(w, cs, cq) }
-	} else {
-		queue := newWorkQueue(plan.Chunks, p, shards)
-		body = func(w int) { r.fastWorker(w, queue) }
-	}
+	close(r.turn[0])
 	for w := 0; w < p; w++ {
 		r.wg.Add(1)
-		go r.guard(w, body)
+		go r.guard(w)
 	}
 	r.wg.Wait()
-	r.mergeLedgers()
 
 	if err := r.runErr(); err != nil {
 		return nil, err
@@ -470,23 +382,11 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if chaosOn {
-		// The recovery ledger must close exactly (integer-valued sums):
-		// the committed chunks tile the domain cell-for-cell, the
-		// committed volume equals the survivor-re-planned closed form,
-		// and every shipped element is either committed or accounted
-		// waste.
-		sort.Slice(r.committedChunks, func(i, j int) bool { return r.committedChunks[i].Task < r.committedChunks[j].Task })
-		if err := checkTiling(n, r.committedChunks); err != nil {
-			return nil, fmt.Errorf("runtime: committed chunks violate exactly-once: %w", err)
-		}
-		replanned := planVolume + r.replanExtra
-		if r.committedVolume != replanned {
-			return nil, fmt.Errorf("runtime: committed volume %v ≠ survivor-re-planned closed form %v", r.committedVolume, replanned)
-		}
+	led, tl, err := e.Close(true, opts.VerifyEvery)
+	if err != nil {
+		return nil, err
 	}
 
-	tl := r.live.Timeline()
 	rep := &Report{
 		Strategy:          plan.Strategy,
 		N:                 n,
@@ -495,43 +395,39 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 		Workers:           p,
 		Chunks:            len(plan.Chunks),
 		Predicted:         plan.Predicted,
+		DataVolume:        led.DataVolume,
 		WorkCells:         float64(n * n),
 		Makespan:          tl.Makespan,
-		PerWorkerData:     r.perData,
-		PerWorkerCells:    r.perCells,
+		PerWorkerData:     led.PerWorkerData,
+		PerWorkerCells:    led.PerWorkerCells,
 		PerWorkerCommTime: tl.CommTimes(),
 		LinkUtilization:   make([]float64, p),
 		Chaos:             chaosOn,
-		RetriedChunks:     r.retried,
-		SpeculativeWins:   r.specWins,
-		DegradedWorkers:   r.degraded,
-		ReclaimedCells:    float64(r.reclaimedCells),
-		PlanVolume:        planVolume,
-		CommittedVolume:   r.committedVolume,
-		ReplannedVolume:   planVolume + r.replanExtra,
-		WastedData:        r.wastedData,
-		WastedWorkCells:   r.wastedWork,
-		LostWorkCells:     r.lostWork,
-		Out:               r.out,
+		PlanVolume:        led.PlanVolume,
+		ReplannedVolume:   led.PlanVolume + led.ReplanExtra,
+		Out:               e.Out(),
 		Trace:             tl,
+	}
+	if chaosOn {
+		rep.RetriedChunks = led.Retried
+		rep.SpeculativeWins = led.SpecWins
+		rep.DegradedWorkers = led.Degraded
+		rep.ReclaimedCells = float64(led.ReclaimedCells)
+		rep.CommittedVolume = led.CommittedVolume
+		rep.WastedData = led.WastedData
+		rep.WastedWorkCells = led.WastedWork
+		rep.LostWorkCells = led.LostWork
 	}
 	if st, ok := topo.(Star); ok {
 		// Preserve the legacy aggregate-capacity semantics: only a star
 		// has a single master port; the per-edge invariant covers the rest.
 		rep.LinkCapacity = math.Max(st.Aggregate, 0)
 	}
-	if r.net != nil {
-		rep.Topology = r.net.name
-		rep.Edges = r.net.edgeReports(tl.Makespan)
+	if t := net.Topology(); t != nil {
+		rep.Topology = t.Name()
+		rep.Edges = net.EdgeReports(tl.Makespan)
 		rep.RelayVolume = tl.RelayVolume()
-		rep.SpanRoutes = r.net.spanRoutes()
-	}
-	for _, d := range r.perData {
-		rep.DataVolume += d
-	}
-	if chaosOn && rep.DataVolume != rep.CommittedVolume+rep.WastedData {
-		return nil, fmt.Errorf("runtime: shipping ledger leaks: measured %v ≠ committed %v + wasted %v",
-			rep.DataVolume, rep.CommittedVolume, rep.WastedData)
+		rep.SpanRoutes = net.SpanRoutes()
 	}
 	overlap := 0.0
 	for w, ct := range rep.PerWorkerCommTime {
@@ -546,14 +442,6 @@ func RunContext(ctx context.Context, plan *StrategyPlan, a, b []float64, opts Op
 	if rep.CommTime > 0 {
 		rep.OverlapFraction = overlap / rep.CommTime
 	}
-	if opts.VerifyEvery > 0 {
-		for idx := 0; idx < n*n; idx += opts.VerifyEvery {
-			i, j := idx/n, idx%n
-			if want := a[i] * b[j]; r.out.Data[idx] != want {
-				return nil, fmt.Errorf("runtime: output cell (%d,%d) = %v, want %v", i, j, r.out.Data[idx], want)
-			}
-		}
-	}
 	return rep, nil
 }
 
@@ -564,63 +452,28 @@ type fetchReq struct {
 	slot int
 }
 
-// fastWorker is the fault-free worker loop (the original hot path — no
-// leases, no locks beyond the queue stripes). The per-chunk loop is
-// allocation-free: both transfer buffers are sized once from the plan's
-// largest chunk, and prefetch runs on one persistent fetcher goroutine
-// per worker instead of spawning a goroutine (and its result channel) per
-// chunk. Cancellation is honored at chunk boundaries.
-func (r *runner) fastWorker(w int, queue *workQueue) {
-	opts := r.opts
-	bucket := newTokenBucket(opts.Speeds[w]*r.rate, opts.Burst)
-	var bufs [2]struct{ a, b []float64 }
-	for i := range bufs {
-		bufs[i].a = make([]float64, 0, r.maxRowSpan)
-		bufs[i].b = make([]float64, 0, r.maxColSpan)
+// work is the pool's one worker loop: claim a chunk, ship it, compute
+// and commit it through the executor's serve step, repeat. Its buffers
+// are sized once from the plan's largest chunk, so the per-chunk loop
+// never allocates on the fault-free path. With prefetch (fault-free
+// only), one persistent fetcher goroutine per worker ships the next
+// chunk while the current one computes. Cancellation is honored at chunk
+// boundaries.
+func (r *runner) work(w int) {
+	e, opts := r.e, r.opts
+	wk := NewWorker(w, opts.Speeds[w]*r.rate, opts.Burst)
+	scratch := 0
+	if e.cq != nil {
+		scratch = e.maxCells
 	}
+	wk.reserve(e.maxRowSpan, e.maxColSpan, scratch)
 
-	// fetch ships the chunk's inputs into buffer slot `slot`: the only
-	// elements this worker may read are the copies it just received.
-	// Under the link model the Comm span is the booked transfer window;
-	// otherwise it is the measured memcpy. Calls for one worker are
-	// strictly sequential (double-buffering keeps at most one in
-	// flight), so the per-worker ledgers need no locking. A cancellation
-	// that lands mid-transfer abandons the booked window: no span is
-	// recorded and the caller's next ctx check exits the loop.
-	fetch := func(c Chunk, slot int) staged {
-		bb := &bufs[slot]
-		var t0, t1 float64
-		if r.net != nil && r.net.constrained(w) {
-			del, relays := r.net.book(w, float64(c.Data()))
-			t0, t1 = del.start, del.end
-			bb.a = append(bb.a[:0], r.a[c.RowLo:c.RowHi]...)
-			bb.b = append(bb.b[:0], r.b[c.ColLo:c.ColHi]...)
-			if !r.net.wait(r.ctx, t1) {
-				return staged{c: c, aBuf: bb.a, bBuf: bb.b}
-			}
-			for _, h := range relays {
-				r.live.AddRelay(trace.Relay{Edge: h.edge, Dest: w, Start: h.start, End: h.end,
-					Data: float64(c.Data()), Task: c.Task})
-			}
-		} else {
-			t0 = r.live.Now()
-			bb.a = append(bb.a[:0], r.a[c.RowLo:c.RowHi]...)
-			bb.b = append(bb.b[:0], r.b[c.ColLo:c.ColHi]...)
-			t1 = r.live.Now()
-		}
-		r.live.Add(w, trace.Span{Kind: trace.Comm, Start: t0, End: t1,
-			Data: float64(c.Data()), Task: c.Task})
-		r.perData[w] += float64(c.Data())
-		return staged{c: c, aBuf: bb.a, bBuf: bb.b}
-	}
-
-	// With prefetch, one persistent fetcher goroutine per worker ships
-	// chunk inputs on request. The request/result channels live for the
-	// whole run — the old per-chunk `go fetch(...)` + fresh result channel
-	// was two heap allocations per chunk. At most one request is ever in
-	// flight (the worker sends only after receiving the previous result),
-	// so the single-buffered result channel can never block the fetcher
-	// against a departed worker.
+	// The fetcher's request/result channels live for the whole run — a
+	// per-chunk goroutine plus result channel would be two heap
+	// allocations per chunk. At most one request is ever in flight (the
+	// worker sends only after receiving the previous result), so the
+	// single-buffered result channel can never block the fetcher against
+	// a departed worker.
 	var reqCh chan fetchReq
 	var resCh chan staged
 	if opts.Prefetch {
@@ -628,87 +481,84 @@ func (r *runner) fastWorker(w int, queue *workQueue) {
 		resCh = make(chan staged, 1)
 		defer close(reqCh) // stops the fetcher when the worker leaves
 		go func() {
+			defer close(resCh)
 			defer func() {
 				if rec := recover(); rec != nil {
 					r.fail(fmt.Errorf("%w: worker %d prefetch panicked: %v", ErrWorkerFailed, w, rec))
-					close(resCh)
 				}
 			}()
 			for req := range reqCh {
-				resCh <- fetch(req.c, req.slot)
+				s, st := e.ship(r.ctx, wk, req.c, req.slot)
+				if st.halted {
+					return
+				}
+				resCh <- s
 			}
 		}()
 	}
 
-	c, ok := queue.pop(w)
-	if !ok {
-		return
-	}
-	if hook := opts.testHookChunkStart; hook != nil {
-		hook(w, c)
-	}
+	<-r.turn[w]
 	cur := 0
-	s := fetch(c, cur)
-	for {
-		if r.ctx.Err() != nil {
-			return
-		}
+	s, ok := r.claim(wk, cur)
+	for ok {
 		// Claim and start shipping the next chunk before computing the
 		// current one, so the transfer hides under the compute span.
-		var next Chunk
 		var more bool
 		if opts.Prefetch {
-			if next, more = queue.pop(w); more {
+			var next Chunk
+			if next, more = e.Next(w, 0); more {
 				reqCh <- fetchReq{c: next, slot: 1 - cur}
 			}
 		}
-
-		// Compute: the token bucket stretches the span to the duration a
-		// speed-sᵢ processor would need.
-		cells := float64(s.c.Cells())
-		t0 := r.live.Now()
-		bucket.acquire(cells)
-		fillChunk(r.out, s.aBuf, s.bBuf, s.c)
-		t1 := r.live.Now()
-		r.live.Add(w, trace.Span{Kind: trace.Compute, Start: t0, End: t1,
-			Work: cells, Task: s.c.Task})
-		r.perCells[w] += cells
-
-		if opts.Prefetch {
-			if !more {
-				return
-			}
-			var ok2 bool
-			if s, ok2 = <-resCh; !ok2 {
-				return // the fetcher died; the run is already failed
-			}
-			cur = 1 - cur
-		} else {
-			if c, ok = queue.pop(w); !ok {
-				return
-			}
-			if hook := opts.testHookChunkStart; hook != nil {
-				hook(w, c)
-			}
-			s = fetch(c, cur)
+		if r.settle(e.compute(r.ctx, wk, s)) {
+			return
 		}
+		if !opts.Prefetch {
+			s, ok = r.claim(wk, cur)
+			continue
+		}
+		if !more {
+			return
+		}
+		if s, ok = <-resCh; !ok {
+			return // the fetcher stopped; the run is cancelled or failed
+		}
+		cur = 1 - cur
 	}
 }
 
-// fillChunk writes the chunk's rectangle of the outer product from the
-// worker-local copies, tiling the column range like matmul.OuterInto.
-func fillChunk(out *matmul.Matrix, aBuf, bBuf []float64, c Chunk) {
-	bs := matmul.AutotuneTile()
-	n := out.Cols
-	for jj := 0; jj < len(bBuf); jj += bs {
-		jMax := min(jj+bs, len(bBuf))
-		bTile := bBuf[jj:jMax]
-		for i, av := range aBuf {
-			base := (c.RowLo+i)*n + c.ColLo
-			row := out.Data[base+jj : base+jMax]
-			for j, bv := range bTile {
-				row[j] = av * bv
-			}
+// claim leases worker w its next chunk and ships it into buffer slot
+// `slot`; false means the worker is done with the run. Under faults an
+// empty queue is not the end — another holder may crash and its work be
+// reclaimed — so the worker polls until every cell is committed, and its
+// crash instant is honored before each lease.
+func (r *runner) claim(wk *Worker, slot int) (staged, bool) {
+	e, w := r.e, wk.id
+	for r.ctx.Err() == nil {
+		now := e.clock()
+		if e.crashed(w, now) {
+			r.settle(e.kill(w, 0, nil))
+			return staged{}, false
 		}
+		c, st := e.next(w, now)
+		r.pass(w)
+		switch st {
+		case queueDone:
+			return staged{}, false
+		case queueWait:
+			if !sleepCtx(r.ctx, chaosPoll) {
+				return staged{}, false
+			}
+			continue
+		}
+		if hook := r.opts.testHookChunkStart; hook != nil {
+			hook(w, c)
+		}
+		s, step := e.ship(r.ctx, wk, c, slot)
+		if r.settle(step) {
+			return staged{}, false
+		}
+		return s, true
 	}
+	return staged{}, false
 }

@@ -283,12 +283,6 @@ type netLink struct {
 	vol  []float64 // per-edge booked elements, dropped payloads included
 	busy []float64 // per-edge summed window seconds (capped edges only)
 	now  func() float64
-	// slowdown, when set, scales the effective rate of a transfer to
-	// worker w booked at live instant t (the chaos layer's LinkSlow
-	// realization: factor < 1 stretches the booked window). Sampled once
-	// at booking time and applied to the delivery hop; a window boundary
-	// crossing mid-transfer does not re-rate the transfer.
-	slowdown func(w int, t float64) float64
 }
 
 // newNetLink builds the booking state for the topology; nil when no
@@ -333,19 +327,19 @@ func (nl *netLink) constrained(w int) bool { return len(nl.capped[w]) > 0 }
 
 // book reserves the transfer windows of elems elements for worker w and
 // returns the delivery window plus any intermediate relay windows (in
-// hop order; empty for circuit routes). It never sleeps; pair it with
-// wait on the delivery window's end.
-func (nl *netLink) book(w int, elems float64) (delivery bookedWindow, relays []bookedWindow) {
+// hop order; empty for circuit routes). slow is the caller's link-fault
+// factor for this transfer (a LinkSlow window, DESIGN.md §10): a factor
+// in (0,1) scales the delivery hop's rate, stretching only this
+// transfer's window; anything else books at full rate. It never sleeps;
+// pair it with wait on the delivery window's end.
+func (nl *netLink) book(w int, elems, slow float64) (delivery bookedWindow, relays []bookedWindow) {
+	if !(slow > 0 && slow < 1) {
+		slow = 1
+	}
 	route, capped := nl.routes[w], nl.capped[w]
 	nl.mu.Lock()
 	defer nl.mu.Unlock()
 	t := nl.now()
-	slow := 1.0
-	if nl.slowdown != nil {
-		if f := nl.slowdown(w, t); f > 0 && f < 1 {
-			slow = f
-		}
-	}
 	for _, e := range route {
 		nl.vol[e] += elems
 	}

@@ -2,47 +2,11 @@ package service
 
 import "sort"
 
-// tenantLedger is one tenant's running account (fleet.mu-guarded).
-// Volumes settle at job finalize, so the ledger always describes
-// *finished* jobs; ServedCells additionally accrues at every commit so
-// fair-share ordering sees in-flight service too.
-type tenantLedger struct {
-	Tenant    string
-	Submitted int
-	Admitted  int
-	Rejected  int
-	Completed int
-	Failed    int
-	Cancelled int
-
-	// ServedCells accrues at commit time (fair-share key + attained
-	// service); the volume fields settle per finished job.
-	ServedCells     float64
-	PlanVolume      float64
-	ReplannedVolume float64
-	DataShipped     float64
-	CommittedVolume float64
-	WastedData      float64
-	ReclaimedCells  int
-	RetriedChunks   int
-	SpeculativeWins int
-	DegradedEvents  int
-}
-
-// settle folds a finished job's ledger into the tenant account.
-func (t *tenantLedger) settle(r *JobReport) {
-	t.PlanVolume += r.PlanVolume
-	t.ReplannedVolume += r.ReplannedVolume
-	t.DataShipped += r.DataShipped
-	t.CommittedVolume += r.CommittedVolume
-	t.WastedData += r.WastedData
-	t.ReclaimedCells += r.ReclaimedCells
-	t.RetriedChunks += r.RetriedChunks
-	t.SpeculativeWins += r.SpeculativeWins
-	t.DegradedEvents += r.DegradedWorkers
-}
-
-// TenantAccount is a tenant ledger snapshot.
+// TenantAccount is one tenant's running account. The fleet keeps one
+// per tenant under fleet.mu and Accounting returns copies. Volumes
+// settle at job finalize, so they always describe *finished* jobs;
+// ServedCells additionally accrues at every commit, so fair-share
+// ordering sees in-flight service too.
 type TenantAccount struct {
 	Tenant    string
 	Submitted int
@@ -62,6 +26,19 @@ type TenantAccount struct {
 	RetriedChunks   int
 	SpeculativeWins int
 	DegradedEvents  int
+}
+
+// settle folds a finished job's ledger into the tenant account.
+func (t *TenantAccount) settle(r *JobReport) {
+	t.PlanVolume += r.PlanVolume
+	t.ReplannedVolume += r.ReplannedVolume
+	t.DataShipped += r.DataShipped
+	t.CommittedVolume += r.CommittedVolume
+	t.WastedData += r.WastedData
+	t.ReclaimedCells += r.ReclaimedCells
+	t.RetriedChunks += r.RetriedChunks
+	t.SpeculativeWins += r.SpeculativeWins
+	t.DegradedEvents += r.DegradedWorkers
 }
 
 // FleetReport is a whole-fleet accounting snapshot.
@@ -105,27 +82,7 @@ func (f *Fleet) Accounting() FleetReport {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		led := f.accounts[name]
-		rep.Tenants = append(rep.Tenants, TenantAccount{
-			Tenant:    led.Tenant,
-			Submitted: led.Submitted,
-			Admitted:  led.Admitted,
-			Rejected:  led.Rejected,
-			Completed: led.Completed,
-			Failed:    led.Failed,
-			Cancelled: led.Cancelled,
-
-			ServedCells:     led.ServedCells,
-			PlanVolume:      led.PlanVolume,
-			ReplannedVolume: led.ReplannedVolume,
-			DataShipped:     led.DataShipped,
-			CommittedVolume: led.CommittedVolume,
-			WastedData:      led.WastedData,
-			ReclaimedCells:  led.ReclaimedCells,
-			RetriedChunks:   led.RetriedChunks,
-			SpeculativeWins: led.SpeculativeWins,
-			DegradedEvents:  led.DegradedEvents,
-		})
+		rep.Tenants = append(rep.Tenants, *f.accounts[name])
 	}
 	return rep
 }

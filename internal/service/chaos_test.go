@@ -225,3 +225,100 @@ func TestChaosTraceOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestJobScopedLinkSlowStretchesOnlyItsOwnWindows pins LinkSlow parity
+// with the single-run runtime: a job-scoped LinkSlow slows the worker's
+// *link* for that job — its booked Comm windows on the worker last
+// exactly 1/factor times the unslowed booking of the same data — while a
+// clean job sharing the link books every window at full rate and keeps
+// exact ledgers. Booked windows are computed, not measured.
+func TestJobScopedLinkSlowStretchesOnlyItsOwnWindows(t *testing.T) {
+	const (
+		port   = 4e5 // master-port elements/s
+		slowW  = 3
+		factor = 0.25
+	)
+	cfg := chaosConfig()
+	cfg.Link.ElemsPerSecond = port
+	f, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	slowed := mustSubmit(t, f, JobSpec{
+		Tenant: "slowed", N: 64, Strategy: "het", Seed: 21,
+		Chaos: ChaosSpec{Scenario: faults.Scenario{Events: []faults.Event{
+			{Kind: faults.LinkSlow, Worker: slowW, Time: 0, Until: 1e6, Factor: factor},
+		}}},
+	})
+	clean := mustSubmit(t, f, JobSpec{Tenant: "clean", N: 64, Strategy: "het", Seed: 22})
+
+	// checkWindows asserts every Comm span of rep lasts want(w)·Data/port.
+	checkWindows := func(rep *JobReport, stretch func(w int) float64) (spans int) {
+		t.Helper()
+		for w, row := range rep.Trace.Spans {
+			for _, sp := range row {
+				if sp.Kind != trace.Comm {
+					continue
+				}
+				spans++
+				want := stretch(w) * sp.Data / port
+				if got := sp.End - sp.Start; math.Abs(got-want) > 1e-9*want {
+					t.Errorf("job %d worker %d task %d: window %v, want %v", rep.ID, w, sp.Task, got, want)
+				}
+			}
+		}
+		return spans
+	}
+	srep := waitOK(t, slowed)
+	checkJob(t, srep)
+	slowSpans := 0
+	for _, sp := range srep.Trace.Spans[slowW] {
+		if sp.Kind == trace.Comm {
+			slowSpans++
+		}
+	}
+	if slowSpans == 0 {
+		t.Fatalf("worker %d shipped nothing for the slowed job", slowW)
+	}
+	checkWindows(srep, func(w int) float64 {
+		if w == slowW {
+			return 1 / factor
+		}
+		return 1
+	})
+	if srep.WastedData != 0 || srep.ReplannedVolume != 0 || srep.DataShipped != srep.PlanVolume {
+		t.Errorf("a slow link changed the slowed job's volumes: %+v", srep)
+	}
+
+	crep := waitOK(t, clean)
+	checkJob(t, crep)
+	if checkWindows(crep, func(int) float64 { return 1 }) == 0 {
+		t.Fatal("clean job shipped nothing")
+	}
+	if crep.WastedData != 0 || crep.ReplannedVolume != 0 || crep.RetriedChunks != 0 ||
+		crep.DataShipped != crep.PlanVolume || crep.CommittedVolume != crep.PlanVolume {
+		t.Errorf("clean job's ledger changed beside the slowed job: %+v", crep)
+	}
+}
+
+// TestSubmitRejectsNonFiniteBackoff: job chaos options are validated by
+// the runtime's own Chaos.Validate, so a non-finite backoff bound is a
+// spec error at Submit, not a job that sleeps forever.
+func TestSubmitRejectsNonFiniteBackoff(t *testing.T) {
+	f, err := New(chaosConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	_, err = f.Submit(JobSpec{
+		Tenant: "bad", N: 64, Seed: 1,
+		Chaos: ChaosSpec{Scenario: faults.SingleCrash(1, 0.01), MaxRetries: 1, BackoffMax: math.Inf(1)},
+	})
+	if err == nil {
+		t.Fatal("Submit accepted BackoffMax = +Inf")
+	}
+	if errors.Is(err, ErrAdmissionRejected) {
+		t.Fatalf("a malformed spec is not an admission rejection: %v", err)
+	}
+}

@@ -25,11 +25,12 @@
 //     deadline even the knee-sized slice cannot meet with
 //     RejectAmdahlCap — if the knee can't make it, no admissible slice
 //     can. See docs/CAPACITY.md for the operator guide.
-//   - Isolation: faults are scoped to the job that carries them. A
-//     chaos-crashed worker dies *for that job only* — its leases and
-//     backlog are reclaimed and re-planned onto the job's surviving
-//     workers (PERI-SUM, as in the single-run chaos queue) while the
-//     same worker keeps serving every other job. Per-tenant fair-share
+//   - Isolation: every job runs on its own runtime.Executor — the
+//     engine a single Run uses — so faults are scoped to the job that
+//     carries them. A chaos-crashed worker dies *for that job only* —
+//     its leases and backlog are reclaimed and re-planned onto the
+//     job's surviving workers (PERI-SUM) while the same worker keeps
+//     serving every other job. Per-tenant fair-share
 //     ordering keeps one tenant's flood from starving the rest, and the
 //     bounded per-tenant quota keeps the flood from occupying the queue.
 //   - Deadlines and cancellation: every job carries a context; deadline

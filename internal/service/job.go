@@ -4,41 +4,23 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
-	"nlfl/internal/faults"
 	"nlfl/internal/matmul"
 	nrt "nlfl/internal/runtime"
 	"nlfl/internal/trace"
 )
 
-// ChaosSpec scopes a fault scenario to one job. Worker indices in the
-// scenario are *fleet* worker ids; event times are seconds relative to
-// the job's start (its first chunk handout). The faults run only inside
-// the job: a crashed worker is dead for this job — its leases and owned
-// backlog are reclaimed and re-planned over the job's surviving slice —
-// while the same worker keeps serving every other job untouched.
-type ChaosSpec struct {
-	// Scenario is the job-scoped fault timeline.
-	Scenario faults.Scenario
-	// MaxRetries is the per-chunk-lineage recovery budget (transfer
-	// re-attempts after drops, lineage reclaims after crashes); a chunk
-	// exceeding it fails this job with ErrJobFailed. 0 means no budget.
-	MaxRetries int
-	// BackoffBase and BackoffMax bound the capped exponential backoff
-	// between transfer retries, in seconds; zeros select 1 ms and 50 ms.
-	BackoffBase float64
-	BackoffMax  float64
-	// SpeculateAfter, when positive, lets a chunk one worker has held
-	// longer than this many seconds be re-issued to a second worker of
-	// the job's slice; first commit wins, the loser is Wasted.
-	SpeculateAfter float64
-}
-
-func (c ChaosSpec) enabled() bool {
-	return len(c.Scenario.Events) > 0 || c.SpeculateAfter > 0
-}
+// ChaosSpec scopes a fault scenario to one job: the single-run chaos
+// options, validated and defaulted by the same runtime code. Worker
+// indices in the scenario are *fleet* worker ids; event times are
+// seconds relative to the job's start (its first chunk handout). The
+// faults run only inside the job: a crashed worker is dead for this job
+// — its leases and owned backlog are reclaimed and re-planned over the
+// job's surviving slice — while the same worker keeps serving every
+// other job untouched. A chunk exceeding MaxRetries fails this job with
+// ErrJobFailed.
+type ChaosSpec = nrt.Chaos
 
 // JobSpec describes one outer-product job submitted to the fleet.
 type JobSpec struct {
@@ -77,14 +59,6 @@ func (s JobSpec) withDefaults() JobSpec {
 	if s.Strategy == "" {
 		s.Strategy = "hom"
 	}
-	if s.Chaos.enabled() {
-		if s.Chaos.BackoffBase <= 0 {
-			s.Chaos.BackoffBase = 1e-3
-		}
-		if s.Chaos.BackoffMax <= 0 {
-			s.Chaos.BackoffMax = 50e-3
-		}
-	}
 	return s
 }
 
@@ -107,15 +81,9 @@ func (s JobSpec) validate(p int) error {
 	if s.Strategy != "wf" && s.Weights != nil {
 		return fmt.Errorf("service: Weights are only meaningful with strategy wf (got %q)", s.Strategy)
 	}
-	if s.Chaos.enabled() {
-		if err := s.Chaos.Scenario.Validate(p); err != nil {
+	if s.Chaos.Enabled() {
+		if err := s.Chaos.Validate(p); err != nil {
 			return fmt.Errorf("service: job chaos: %w", err)
-		}
-		if s.Chaos.MaxRetries < 0 {
-			return fmt.Errorf("service: negative retry budget %d", s.Chaos.MaxRetries)
-		}
-		if s.Chaos.SpeculateAfter < 0 || math.IsNaN(s.Chaos.SpeculateAfter) {
-			return fmt.Errorf("service: invalid SpeculateAfter %v", s.Chaos.SpeculateAfter)
 		}
 	}
 	return nil
@@ -130,76 +98,36 @@ const (
 	jsFailed
 )
 
-// lease tracks one chunk in flight, possibly on two workers at once
-// (holder + speculative copy); first-writer-wins at commit.
-type lease struct {
-	c       nrt.Chunk
-	holders []int
-	first   int
-	since   float64
-}
-
-// job is one admitted job's full state. Immutable after buildJobLocked:
-// identity, slice, plan, inputs, chaos tables, ctx. Everything else is
-// guarded by fleet.mu; the output matrix is written only by the worker
-// holding the winning commit (disjoint rectangles).
+// job is one admitted job: its identity and slice, the executor that
+// runs its chunks, and the fleet's bookkeeping around it. The executor
+// owns the queue, leases, fault table, output and ledger; everything
+// else is guarded by fleet.mu.
 type job struct {
-	id       int64
-	tenant   string
-	n        int
-	strategy string
-	slice    []int  // fleet worker ids, ascending
-	inSlice  []bool // fleet-indexed
-	plan     *nrt.StrategyPlan
-	a, b     []float64
-	out      *matmul.Matrix
-	tl       *trace.Timeline
-	ctx      context.Context
-	cancel   context.CancelFunc
-	done     chan struct{}
-
-	chaos      *jobChaos // nil without a ChaosSpec
-	maxRetries int
-	backoff    [2]float64 // base, max (seconds)
-	specAfter  float64
+	id        int64
+	tenant    string
+	n         int
+	strategy  string
+	slice     []int // fleet worker ids, ascending
+	ex        *nrt.Executor
+	chaos     bool
+	predicted float64
+	ctx       context.Context
+	cancel    context.CancelFunc
+	done      chan struct{}
 
 	submitAt float64
 	startAt  float64 // -1 until the first chunk handout
 	doneAt   float64
 
-	// lease-queue state (the per-job analogue of runtime.chaosQueue,
-	// fleet-worker-indexed and guarded by fleet.mu).
-	backlog   [][]nrt.Chunk
-	bhead     []int
-	shared    []nrt.Chunk
-	shead     int
-	leases    map[int]*lease
-	committed map[int]bool
-	recovered map[int]int
-	nextTask  int
-	cellsLeft int
 	// serving counts chunks of this job currently in flight on workers.
-	// A job completes only when cellsLeft hits 0 AND serving drains to 0,
-	// so losing speculative copies settle their waste into the ledgers
-	// before the report freezes (the fleet analogue of Run's wg.Wait).
-	serving   int
-	deadFor   []bool // fleet-indexed: worker dead *for this job*
-	aliveLeft int    // live workers remaining in the slice
-
-	// ledgers
-	planVolume     float64
-	predicted      float64
-	replanExtra    float64
-	dataShipped    float64
+	// A job completes only when every cell is committed AND serving
+	// drains to 0, so losing speculative copies settle their waste into
+	// the ledger before the report freezes (the fleet analogue of Run's
+	// wg.Wait).
+	serving int
+	// committedCells is the attained service: the SRPT and ii keys and
+	// the completion test.
 	committedCells float64
-	committedVol   float64
-	wastedData     float64
-	wastedWork     float64
-	lostWork       float64
-	reclaimedCells int
-	retried        int
-	specWins       int
-	degraded       int
 
 	// autoscaled marks a slice sized by the capacity model (fleet
 	// AutoscaleTheta > 0); predictedMakespan is the model's forecast for
@@ -212,67 +140,11 @@ type job struct {
 	report *JobReport
 }
 
-// newJob allocates the state for an admitted job over its slice.
-func newJob(id int64, spec JobSpec, slice []int, plan *nrt.StrategyPlan, a, b []float64, fleetP int, now float64) *job {
-	j := &job{
-		id:        id,
-		tenant:    spec.Tenant,
-		n:         spec.N,
-		strategy:  spec.Strategy,
-		slice:     slice,
-		inSlice:   make([]bool, fleetP),
-		plan:      plan,
-		a:         a,
-		b:         b,
-		out:       matmul.New(spec.N, spec.N),
-		tl:        trace.New(fleetP),
-		done:      make(chan struct{}),
-		submitAt:  now,
-		startAt:   -1,
-		backlog:   make([][]nrt.Chunk, fleetP),
-		bhead:     make([]int, fleetP),
-		leases:    map[int]*lease{},
-		committed: map[int]bool{},
-		recovered: map[int]int{},
-		deadFor:   make([]bool, fleetP),
-		aliveLeft: len(slice),
-	}
-	for _, w := range slice {
-		j.inSlice[w] = true
-	}
-	// Plan chunks are owned in slice-local indices; map them to fleet ids.
-	// PlanVolume is the executed plan's geometric volume Σ(wᵢ+hᵢ) — what
-	// a clean run ships exactly and no faulty run can undercut; the
-	// analytic closed form stays in predicted for reporting.
-	for _, c := range plan.Chunks {
-		j.cellsLeft += c.Cells()
-		j.planVolume += float64(c.Data())
-		if c.Task >= j.nextTask {
-			j.nextTask = c.Task + 1
-		}
-		if c.Owner >= 0 && c.Owner < len(slice) {
-			c.Owner = slice[c.Owner]
-			j.backlog[c.Owner] = append(j.backlog[c.Owner], c)
-		} else {
-			c.Owner = -1
-			j.shared = append(j.shared, c)
-		}
-	}
-	j.predicted = plan.Predicted
-	if spec.Chaos.enabled() {
-		j.chaos = compileJobChaos(spec.Chaos, fleetP)
-		j.maxRetries = spec.Chaos.MaxRetries
-		j.backoff = [2]float64{spec.Chaos.BackoffBase, spec.Chaos.BackoffMax}
-		j.specAfter = spec.Chaos.SpeculateAfter
-	}
-	return j
-}
-
 // terminal reports whether the job has been finalized (fleet.mu held).
 func (j *job) terminal() bool { return j.state != jsActive }
 
 // remainingCells is the SRPT key input (fleet.mu held).
-func (j *job) remainingCells() float64 { return float64(j.cellsLeft) }
+func (j *job) remainingCells() float64 { return float64(j.n*j.n) - j.committedCells }
 
 // JobHandle is the caller's view of an admitted job.
 type JobHandle struct {
@@ -419,13 +291,15 @@ func (r *JobReport) Expect(relTol float64) *trace.Expect {
 // finalizeLocked moves a job to its terminal state exactly once: freezes
 // the report, settles the tenant account, removes the job from the
 // active set, answers every waiter and wakes the pool. err == nil means
-// success (the output is spot-verified first when configured).
+// success: the executor's closing audit and the configured spot
+// verification run first, and a failure there fails the job.
 func (f *Fleet) finalizeLocked(j *job, err error) {
 	if j.terminal() {
 		return
 	}
-	if err == nil && f.cfg.VerifyEvery > 0 {
-		err = j.verify(f.cfg.VerifyEvery)
+	ledger, tl, cerr := j.ex.Close(err == nil, f.cfg.VerifyEvery)
+	if err == nil && cerr != nil {
+		err = fmt.Errorf("%w: %w", ErrJobFailed, cerr)
 	}
 	now := f.now()
 	j.doneAt = now
@@ -447,18 +321,18 @@ func (f *Fleet) finalizeLocked(j *job, err error) {
 		DoneTime:   now,
 		Latency:    now - j.submitAt,
 
-		PlanVolume:      j.planVolume,
+		PlanVolume:      ledger.PlanVolume,
 		Predicted:       j.predicted,
-		ReplannedVolume: j.replanExtra,
-		DataShipped:     j.dataShipped,
-		CommittedVolume: j.committedVol,
-		WastedData:      j.wastedData,
-		WastedWorkCells: j.wastedWork,
-		LostWorkCells:   j.lostWork,
-		ReclaimedCells:  j.reclaimedCells,
-		RetriedChunks:   j.retried,
-		SpeculativeWins: j.specWins,
-		DegradedWorkers: j.degraded,
+		ReplannedVolume: ledger.ReplanExtra,
+		DataShipped:     ledger.DataVolume,
+		CommittedVolume: ledger.CommittedVolume,
+		WastedData:      ledger.WastedData,
+		WastedWorkCells: ledger.WastedWork,
+		LostWorkCells:   ledger.LostWork,
+		ReclaimedCells:  ledger.ReclaimedCells,
+		RetriedChunks:   ledger.Retried,
+		SpeculativeWins: ledger.SpecWins,
+		DegradedWorkers: ledger.Degraded,
 		LinkCapacity:    f.net.Capacity(),
 		Topology:        f.Topology(),
 		Edges:           f.edgeRows(),
@@ -468,14 +342,14 @@ func (f *Fleet) finalizeLocked(j *job, err error) {
 		PredictedMakespan: j.predictedMakespan,
 
 		Failed: err != nil,
-		Trace:  j.tl,
-		Chaos:  j.chaos != nil,
+		Trace:  tl,
+		Chaos:  j.chaos,
 	}
 	if j.startAt >= 0 {
 		rep.Makespan = now - j.startAt
 	}
 	if err == nil {
-		rep.Out = j.out
+		rep.Out = j.ex.Out()
 	} else {
 		rep.Err = err.Error()
 	}
@@ -506,16 +380,4 @@ func (f *Fleet) finalizeLocked(j *job, err error) {
 	close(j.done)
 	j.cancel()
 	f.wakeAll()
-}
-
-// verify spot-checks every stride-th output cell against a[i]*b[k].
-func (j *job) verify(stride int) error {
-	for idx := 0; idx < j.n*j.n; idx += stride {
-		i, k := idx/j.n, idx%j.n
-		want := j.a[i] * j.b[k]
-		if got := j.out.At(i, k); got != want {
-			return fmt.Errorf("%w: output mismatch at (%d,%d): got %v want %v", ErrJobFailed, i, k, got, want)
-		}
-	}
-	return nil
 }

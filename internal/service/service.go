@@ -184,7 +184,7 @@ type Fleet struct {
 	draining      bool
 	closed        bool
 	health        []workerHealth
-	accounts      map[string]*tenantLedger
+	accounts      map[string]*TenantAccount
 	finishedJobs  int
 	submitted     int
 	rejected      int
@@ -226,7 +226,7 @@ func New(cfg Config) (*Fleet, error) {
 		ctx:      ctx,
 		cancel:   cancel,
 		health:   make([]workerHealth, len(d.Speeds)),
-		accounts: map[string]*tenantLedger{},
+		accounts: map[string]*TenantAccount{},
 		wake:     make([]chan struct{}, len(d.Speeds)),
 	}
 	topo := d.Topology
@@ -424,13 +424,35 @@ func (f *Fleet) buildJobLocked(spec JobSpec, slice []int) (*job, error) {
 		a = stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, spec.N)
 		b = stats.SampleN(stats.Uniform{Lo: -1, Hi: 1}, r, spec.N)
 	}
+	submitAt := f.now()
+	ex, err := nrt.NewExecutor(plan, a, b, nrt.ExecConfig{
+		Speeds: f.speeds,
+		Slice:  slice,
+		Clock:  f.now,
+		Net:    f.net,
+		Chaos:  spec.Chaos,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("service: %w", err)
+	}
 	f.seq++
-	j := newJob(f.seq, spec, slice, plan, a, b, len(f.speeds), f.now())
-	jctx := f.ctx
+	j := &job{
+		id:        f.seq,
+		tenant:    spec.Tenant,
+		n:         spec.N,
+		strategy:  spec.Strategy,
+		slice:     slice,
+		ex:        ex,
+		chaos:     spec.Chaos.Enabled(),
+		predicted: plan.Predicted,
+		done:      make(chan struct{}),
+		submitAt:  submitAt,
+		startAt:   -1,
+	}
 	if spec.Deadline > 0 {
-		j.ctx, j.cancel = context.WithTimeout(jctx, spec.Deadline)
+		j.ctx, j.cancel = context.WithTimeout(f.ctx, spec.Deadline)
 	} else {
-		j.ctx, j.cancel = context.WithCancel(jctx)
+		j.ctx, j.cancel = context.WithCancel(f.ctx)
 	}
 	return j, nil
 }
@@ -478,10 +500,10 @@ func (f *Fleet) Close() {
 }
 
 // ledgerLocked returns (creating if needed) the tenant's ledger.
-func (f *Fleet) ledgerLocked(tenant string) *tenantLedger {
+func (f *Fleet) ledgerLocked(tenant string) *TenantAccount {
 	led := f.accounts[tenant]
 	if led == nil {
-		led = &tenantLedger{Tenant: tenant}
+		led = &TenantAccount{Tenant: tenant}
 		f.accounts[tenant] = led
 	}
 	return led

@@ -10,13 +10,13 @@ import (
 // by the struct, argument maps marshal with sorted keys, so the output is
 // byte-deterministic for a given timeline.
 type chromeEvent struct {
-	Name string             `json:"name"`
-	Cat  string             `json:"cat"`
-	Ph   string             `json:"ph"`
-	Ts   float64            `json:"ts"`
-	Dur  *float64           `json:"dur,omitempty"`
-	Pid  int                `json:"pid"`
-	Tid  int                `json:"tid"`
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"`
+	Dur  *float64       `json:"dur,omitempty"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
 	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }

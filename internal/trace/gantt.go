@@ -7,8 +7,8 @@ import (
 
 // Gantt renders an ASCII Gantt chart, width columns wide. Glyphs:
 //
-//	-  transfer            %  dropped transfer
 //	#  compute             w  wasted (losing speculative copy)
+//	-  transfer            %  dropped transfer
 //	x  span killed by a crash
 //	!  fault marker (crash/recover) on the worker's row
 func (tl *Timeline) Gantt(width int) string {
